@@ -8,8 +8,8 @@ use std::hint::black_box;
 use npp_simnet::switchsim::{PipelineSwitch, SwitchParams};
 use npp_simnet::{Scheduler, SimTime};
 use npp_topology::bisection::bisection_bandwidth;
-use npp_topology::builder::three_tier_fat_tree;
-use npp_topology::FatTreeModel;
+use npp_topology::builder::{fat_tree_pods_spine, three_tier_fat_tree};
+use npp_topology::{FatTreeModel, RouteScratch};
 use npp_units::Gbps;
 
 fn topology_math(c: &mut Criterion) {
@@ -32,6 +32,21 @@ fn graph_building(c: &mut Criterion) {
     let hosts = topo.hosts();
     c.bench_function("substrate/ecmp_cross_pod", |b| {
         b.iter(|| black_box(topo.ecmp_paths(hosts[0], hosts[127], 64)))
+    });
+
+    // Fabric scale: 15 k=16 planes joined by 4 spine switches (20,164
+    // nodes), one host pair in different planes. The first case
+    // allocates its labels per call; the second reuses one scratch, as
+    // the simulator's route cache does on every miss.
+    let spine = fat_tree_pods_spine(15, 16, 4, Gbps::new(400.0)).unwrap();
+    let spine_hosts = spine.hosts();
+    let (src, dst) = (spine_hosts[0], spine_hosts[spine_hosts.len() - 1]);
+    c.bench_function("substrate/ecmp_spine_cross_plane", |b| {
+        b.iter(|| black_box(spine.ecmp_paths(src, dst, 16)))
+    });
+    let mut scratch = RouteScratch::new();
+    c.bench_function("substrate/ecmp_spine_cross_plane_scratch", |b| {
+        b.iter(|| black_box(spine.ecmp_paths_with(&mut scratch, src, dst, 16)))
     });
 
     let mut g = c.benchmark_group("substrate/maxflow");

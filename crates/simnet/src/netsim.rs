@@ -25,7 +25,8 @@
 //! - flow→link paths are stored in one CSR arena
 //!   ([`EngineCore::path_links`] + offsets) filled at injection time
 //!   (ECMP resolution is memoised per `(src, dst)` pair, so million-flow
-//!   workloads that reuse routes pay one BFS per pair, not per flow),
+//!   workloads that reuse routes pay one bidirectional search per pair,
+//!   not per flow, into labels reused across pairs),
 //!   and a link→flow CSR is (re)built by counting sort before the event
 //!   loop starts, so the waterfill never scans `path.contains`;
 //! - the run loop owns a scratch arena (capacities, crossing counts,
@@ -59,9 +60,11 @@
 //! the full pre-optimization engine for benchmarks and differential
 //! tests.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use npp_topology::graph::{LinkId, NodeId, Topology};
+use npp_topology::RouteScratch;
 use serde::Serialize;
 
 use crate::comp_index::CompIndex;
@@ -227,6 +230,12 @@ pub struct EngineMetrics {
     pub merge_wait_ns: u64,
     /// Per-worker counters for the last parallel run (empty for serial).
     pub workers: Vec<WorkerMetrics>,
+    /// Route-cache misses in [`NetSim::inject`]: distinct `(src, dst)`
+    /// pairs whose ECMP paths were searched.
+    pub route_pairs: u64,
+    /// Nodes labelled by those route searches, summed (a deterministic
+    /// measure of route-resolution work).
+    pub route_nodes_labeled: u64,
 }
 
 /// Row `i` of a CSR layout: `data[offsets[i]..offsets[i + 1]]`.
@@ -286,6 +295,48 @@ pub(crate) struct EngineCore {
 /// Directed-link id of `link` traversed forward (`a → b`) or backward.
 fn dirlink(link: LinkId, forward: bool) -> u32 {
     (link.0 * 2 + usize::from(forward)) as u32
+}
+
+/// ECMP paths enumerated per `(src, dst)` pair; [`NetSim::inject`]'s
+/// `path_choice` picks among them.
+const ECMP_WIDTH: usize = 16;
+
+fn no_path(src: NodeId, dst: NodeId) -> SimError {
+    SimError::Config(format!("no path from node {} to node {}", src.0, dst.0))
+}
+
+/// Resolves the ECMP node paths from `src` to `dst` to directed-link
+/// ids. Each hop takes the lowest-id link between its endpoints — the
+/// first entry of the near end's adjacency whose peer is the far end —
+/// so paths that differ only in a parallel link resolve alike.
+fn resolve_dirlinks(
+    topo: &Topology,
+    paths: &[Vec<NodeId>],
+    src: NodeId,
+    dst: NodeId,
+) -> Result<Vec<Vec<u32>>> {
+    if paths.is_empty() {
+        return Err(no_path(src, dst));
+    }
+    // Sized exactly: the route cache keeps these for the simulator's life.
+    let mut resolved = Vec::with_capacity(paths.len());
+    for nodes in paths {
+        let mut dls = Vec::with_capacity(nodes.len().saturating_sub(1));
+        for (&a, &b) in nodes.iter().zip(nodes.iter().skip(1)) {
+            let link = topo
+                .link_between(a, b)
+                .and_then(|id| topo.link(id))
+                .ok_or_else(|| {
+                    SimError::Config(format!(
+                        "ECMP hop from node {} to node {} has no link",
+                        a.0, b.0
+                    ))
+                })?;
+            dls.push(dirlink(link.id, link.a == a));
+        }
+        resolved.push(dls);
+    }
+    Ok(resolved)
 }
 
 impl EngineCore {
@@ -746,6 +797,12 @@ pub struct NetSim {
     /// order. Pure cache: entries are a function of the (immutable)
     /// topology only.
     route_cache: BTreeMap<(usize, usize), Vec<Vec<u32>>>,
+    /// Label arrays reused by every route-cache miss (sized on first use).
+    route_scratch: RouteScratch,
+    /// Route-cache misses: `(src, dst)` pairs searched by `inject`.
+    route_pairs: u64,
+    /// Nodes labelled by those searches (see [`RouteScratch::nodes_labeled`]).
+    route_nodes_labeled: u64,
     /// Statistics of the last parallel run, if any.
     pub(crate) par: Option<ParMetrics>,
     /// Persistent link-sharing component index: unions absorbed on
@@ -793,6 +850,9 @@ impl NetSim {
             events: 0,
             peak_active: 0,
             route_cache: BTreeMap::new(),
+            route_scratch: RouteScratch::new(),
+            route_pairs: 0,
+            route_nodes_labeled: 0,
             par: None,
             index: CompIndex::new(n_dirlinks),
             components: 0,
@@ -853,6 +913,8 @@ impl NetSim {
             subproblems: par.subproblems,
             merge_wait_ns: par.merge_wait_ns,
             workers: par.workers,
+            route_pairs: self.route_pairs,
+            route_nodes_labeled: self.route_nodes_labeled,
         }
     }
 
@@ -898,36 +960,23 @@ impl NetSim {
                 "flow size {bytes} must be positive"
             )));
         }
-        let key = (src.0, dst.0);
-        if !self.route_cache.contains_key(&key) {
-            let paths = self.topo.ecmp_paths(src, dst, 16);
-            if paths.is_empty() {
-                return Err(SimError::Config(format!(
-                    "no path from node {} to node {}",
-                    src.0, dst.0
-                )));
+        let routes = match self.route_cache.entry((src.0, dst.0)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let paths =
+                    self.topo
+                        .ecmp_paths_with(&mut self.route_scratch, src, dst, ECMP_WIDTH);
+                self.route_pairs += 1;
+                self.route_nodes_labeled += self.route_scratch.nodes_labeled();
+                e.insert(resolve_dirlinks(&self.topo, &paths, src, dst)?)
             }
-            let mut resolved = Vec::with_capacity(paths.len());
-            for nodes in &paths {
-                let mut dls = Vec::with_capacity(nodes.len().saturating_sub(1));
-                for hop in nodes.windows(2) {
-                    let (a, b) = (hop[0], hop[1]);
-                    let (_, link) = self
-                        .topo
-                        .neighbors(a)
-                        .iter()
-                        .copied()
-                        .find(|&(peer, _)| peer == b)
-                        .expect("consecutive ECMP nodes are adjacent");
-                    let l = self.topo.link(link).expect("link exists");
-                    dls.push(dirlink(link, l.a == a));
-                }
-                resolved.push(dls);
-            }
-            self.route_cache.insert(key, resolved);
-        }
-        let routes = &self.route_cache[&key];
-        let dls = &routes[path_choice % routes.len()];
+        };
+        let Some(dls) = path_choice
+            .checked_rem(routes.len())
+            .and_then(|i| routes.get(i))
+        else {
+            return Err(no_path(src, dst));
+        };
         self.core.path_links.extend_from_slice(dls);
         self.core.path_offsets.push(self.core.path_links.len());
         let id = FlowId(self.core.flows.len());
@@ -954,6 +1003,9 @@ impl NetSim {
             self.pending.sort_by_key(|x| std::cmp::Reverse(x.0)); // reverse for pop()
             self.pending_sorted = true;
         }
+        // Route labels serve injection only: free them before the run's
+        // arenas reach their peak (a later inject re-grows them lazily).
+        self.route_scratch = RouteScratch::new();
         self.core.ensure_link_flow_csr();
         self.core.ensure_scratch_sized();
         self.refresh_component_index();
@@ -1376,6 +1428,88 @@ mod tests {
         let b = disconnected.add_host("b");
         let mut sim2 = NetSim::new(disconnected);
         assert!(sim2.inject(SimTime::ZERO, a, b, 100.0, 0).is_err());
+    }
+
+    /// The per-hop resolution `inject` used before `link_between`: the
+    /// first entry of the near node's adjacency whose peer is the far node.
+    fn first_match_dirlinks(topo: &Topology, nodes: &[NodeId]) -> Vec<u32> {
+        nodes
+            .windows(2)
+            .map(|hop| {
+                let (a, b) = (hop[0], hop[1]);
+                let &(_, link) = topo
+                    .neighbors(a)
+                    .iter()
+                    .find(|&&(peer, _)| peer == b)
+                    .unwrap();
+                dirlink(link, topo.link(link).unwrap().a == a)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parallel_links_resolve_like_the_first_match_scan() {
+        let mut topo = Topology::new();
+        let h0 = topo.add_host("h0");
+        let h1 = topo.add_host("h1");
+        let s0 = topo.add_switch("s0", 0);
+        let s1 = topo.add_switch("s1", 0);
+        let s2 = topo.add_switch("s2", 1);
+        let c = Gbps::new(100.0);
+        // Parallel links in both orientations, so both the link id and
+        // the direction bit are at stake.
+        for (a, b) in [
+            (h0, s0),
+            (s1, s0),
+            (s0, s1),
+            (s0, s2),
+            (s2, s1),
+            (s1, h1),
+            (h0, s0),
+        ] {
+            topo.add_link(a, b, c).unwrap();
+        }
+        let mut sim = NetSim::new(topo.clone());
+        let mut flow = 0;
+        for (src, dst) in [(h0, h1), (h1, h0), (s2, h0), (h1, s2), (s0, s1)] {
+            let paths = topo.ecmp_paths(src, dst, ECMP_WIDTH);
+            assert!(!paths.is_empty());
+            for choice in 0..2 * paths.len() {
+                sim.inject(SimTime::ZERO, src, dst, 1e6, choice).unwrap();
+                let want = first_match_dirlinks(&topo, &paths[choice % paths.len()]);
+                assert_eq!(sim.core.path(flow), want.as_slice());
+                flow += 1;
+            }
+        }
+        let m = sim.engine_metrics();
+        assert_eq!(m.route_pairs, 5, "one search per distinct pair");
+        assert!(m.route_nodes_labeled > 0);
+    }
+
+    #[test]
+    fn cross_plane_route_labels_under_five_percent_of_the_fabric() {
+        let topo = npp_topology::builder::fat_tree_pods_spine(15, 16, 4, Gbps::new(400.0)).unwrap();
+        let n = topo.nodes().len();
+        assert_eq!(n, 20_164);
+        let hosts = topo.hosts();
+        let (src, dst) = (hosts[0], hosts[hosts.len() - 1]);
+        let mut sim = NetSim::new(topo);
+        for choice in 0..3 {
+            sim.inject(SimTime::ZERO, src, dst, 1e6, choice).unwrap();
+        }
+        let m = sim.engine_metrics();
+        assert_eq!(m.route_pairs, 1);
+        assert!(
+            m.route_nodes_labeled * 20 < n as u64,
+            "{} of {n} nodes labelled",
+            m.route_nodes_labeled
+        );
+        let again = {
+            let mut sim = NetSim::new(sim.topo.clone());
+            sim.inject(SimTime::ZERO, src, dst, 1e6, 0).unwrap();
+            sim.engine_metrics()
+        };
+        assert_eq!(again.route_nodes_labeled, m.route_nodes_labeled);
     }
 
     #[test]

@@ -614,23 +614,24 @@ mod format_tests {
     }
 }
 
+/// Recorder and metrics-registry state is process-global: every test in
+/// this crate that starts, finishes or resets a recording holds this one
+/// lock, so the parallel test runner cannot interleave them.
+#[cfg(all(test, feature = "trace"))]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TEST_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(all(test, feature = "trace"))]
 mod recording_tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Recorder state is process-global; serialize the tests that use it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     #[test]
     fn disabled_recorder_captures_nothing() {
-        let _g = locked();
+        let _g = test_lock();
         let _ = finish();
         trace_event!("nope", 1);
         let t = finish();
@@ -639,7 +640,7 @@ mod recording_tests {
 
     #[test]
     fn scoped_records_merge_deterministically() {
-        let _g = locked();
+        let _g = test_lock();
         start();
         {
             let _s = scope(0xAA);
@@ -671,7 +672,7 @@ mod recording_tests {
 
     #[test]
     fn worker_threads_drain_on_scope_exit() {
-        let _g = locked();
+        let _g = test_lock();
         start();
         std::thread::scope(|s| {
             for id in 1..=4u64 {
@@ -690,7 +691,7 @@ mod recording_tests {
 
     #[test]
     fn nested_scopes_restore_seq() {
-        let _g = locked();
+        let _g = test_lock();
         start();
         let _outer = scope(5);
         trace_event!("o", 1);

@@ -527,14 +527,9 @@ mod prometheus_tests {
 #[cfg(all(test, feature = "trace"))]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn with_recording<R>(f: impl FnOnce() -> R) -> R {
-        let _g = TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = crate::test_lock();
         crate::start();
         let r = f();
         let _ = crate::finish();
@@ -577,9 +572,7 @@ mod tests {
 
     #[test]
     fn standalone_switch_records_without_trace_recording() {
-        let _g = TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = crate::test_lock();
         let _ = crate::finish();
         reset();
         set_standalone(true);
@@ -599,9 +592,7 @@ mod tests {
 
     #[test]
     fn inactive_registry_ignores_writes() {
-        let _g = TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = crate::test_lock();
         let _ = crate::finish();
         counter_add("ghost", 1);
         crate::start();

@@ -110,15 +110,10 @@ impl Stopwatch {
 #[cfg(all(test, feature = "trace"))]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn samples_one_in_n_only_while_recording() {
-        let _g = TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = crate::test_lock();
         let _ = crate::finish();
         let mut t = SampleTimer::every(3);
         assert!(

@@ -1,4 +1,5 @@
-//! Explicit topology graphs: nodes, links, BFS routing, ECMP enumeration.
+//! Explicit topology graphs: nodes, links, BFS routing. ECMP enumeration
+//! lives in [`crate::route`].
 //!
 //! The analytic model in [`crate::fattree`] answers "how much hardware";
 //! this module answers "which boxes and which wires", which the simulator
@@ -194,14 +195,15 @@ impl Topology {
             .collect()
     }
 
-    /// Neighbors of a node as (neighbor, link) pairs.
+    /// Neighbors of a node as (neighbor, link) pairs, in link-id order
+    /// (an unknown node has none).
     pub fn neighbors(&self, n: NodeId) -> &[(NodeId, LinkId)] {
-        &self.adj[n.0]
+        self.adj.get(n.0).map_or(&[], Vec::as_slice)
     }
 
     /// Degree (number of incident links) of a node.
     pub fn degree(&self, n: NodeId) -> usize {
-        self.adj[n.0].len()
+        self.neighbors(n).len()
     }
 
     /// BFS shortest path (in hops) from `from` to `to`, inclusive of both
@@ -240,60 +242,6 @@ impl Topology {
     /// Hop distance between two nodes, if connected.
     pub fn distance(&self, from: NodeId, to: NodeId) -> Option<usize> {
         self.shortest_path(from, to).map(|p| p.len() - 1)
-    }
-
-    /// Enumerates equal-cost shortest paths between two hosts, up to
-    /// `limit` paths (ECMP). Paths are node sequences including endpoints.
-    pub fn ecmp_paths(&self, from: NodeId, to: NodeId, limit: usize) -> Vec<Vec<NodeId>> {
-        // BFS distance labels from `to`, then DFS along strictly
-        // decreasing distances.
-        if self.distance(from, to).is_none() {
-            return Vec::new();
-        }
-        let mut dist = vec![usize::MAX; self.nodes.len()];
-        let mut q = VecDeque::new();
-        dist[to.0] = 0;
-        q.push_back(to);
-        while let Some(u) = q.pop_front() {
-            for &(v, _) in &self.adj[u.0] {
-                if dist[v.0] == usize::MAX {
-                    dist[v.0] = dist[u.0] + 1;
-                    q.push_back(v);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        let mut stack = vec![from];
-        self.ecmp_dfs(from, to, &dist, &mut stack, &mut out, limit);
-        out
-    }
-
-    fn ecmp_dfs(
-        &self,
-        u: NodeId,
-        to: NodeId,
-        dist: &[usize],
-        stack: &mut Vec<NodeId>,
-        out: &mut Vec<Vec<NodeId>>,
-        limit: usize,
-    ) {
-        if out.len() >= limit {
-            return;
-        }
-        if u == to {
-            out.push(stack.clone());
-            return;
-        }
-        for &(v, _) in &self.adj[u.0] {
-            if dist[v.0] + 1 == dist[u.0] {
-                stack.push(v);
-                self.ecmp_dfs(v, to, dist, stack, out, limit);
-                stack.pop();
-                if out.len() >= limit {
-                    return;
-                }
-            }
-        }
     }
 
     /// Checks that no switch exceeds the given radix and every host has

@@ -40,9 +40,11 @@ pub mod graph;
 pub mod isp;
 pub mod loads;
 pub mod ocs;
+pub mod route;
 
 pub use fattree::{FatTreeModel, FatTreeSize, InterpMode};
 pub use graph::{LinkId, NodeId, NodeKind, Topology};
+pub use route::RouteScratch;
 
 /// Errors produced by this crate.
 #[derive(Debug, Clone, PartialEq)]
